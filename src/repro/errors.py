@@ -19,6 +19,11 @@ class ShapeMismatchError(ReproError):
     """Operand shapes are incompatible for the requested operation."""
 
 
+class IndexOverflowError(ShapeMismatchError):
+    """The product's shape has more cells than the int64 flat ``row * n_cols
+    + col`` keys the merge sorts on can address (``n_rows * n_cols > 2**63``)."""
+
+
 class DatasetError(ReproError):
     """A dataset name is unknown or a generator parameter is invalid."""
 

@@ -1,12 +1,13 @@
 """repro.kernels — pluggable backends for the numeric primitives.
 
-Every numeric path in the library reduces to six primitives: the two
+Every numeric path in the library reduces to five primitives: the two
 symbolic expansions (outer-product and Gustavson row-product), the coalescing
-merge's symbolic half, the two segmented reductions (the merge's
-segmented sum and recipe replay's gather-multiply-sum), and the k-way merge
-of sorted partial-product streams the out-of-core combiner
-(:mod:`repro.oocore`) runs its merge tree on.  This package owns
-their implementations as swappable *backends*:
+merge's symbolic half, and the two segmented reductions (the merge's
+segmented sum and recipe replay's gather-multiply-sum).  A sixth, the k-way
+merge of sorted key streams, is no longer called by any library path; it
+stays in every backend, verified like the others, because
+``perfbench/layers.py`` wraps each primitive of the active backend by name.
+This package owns their implementations as swappable *backends*:
 
 * ``numpy`` — the always-available vectorised reference
   (:mod:`repro.kernels.numpy_backend`); the ground truth.
@@ -14,10 +15,10 @@ their implementations as swappable *backends*:
   selected only when the wheels are installed **and** the backend passes a
   bit-identity verification against the reference at selection time.
 
-Selection is ambient, like :mod:`repro.obs` and :mod:`repro.exec`: the
-serial kernel bodies in :mod:`repro.spgemm.expansion`,
-:mod:`repro.spgemm.merge` and :mod:`repro.plan.cache` call :func:`active`
-and dispatch through whichever backend is installed.  Drivers choose via the
+Selection is ambient, like :mod:`repro.obs`: the kernel bodies in
+:mod:`repro.spgemm.expansion`, :mod:`repro.spgemm.merge` and
+:mod:`repro.plan.cache` call :func:`active` and dispatch through whichever
+backend is installed.  Drivers choose via the
 ``REPRO_KERNEL_BACKEND`` environment variable (read lazily, once), the
 ``--kernel-backend`` CLI flag, or programmatically::
 

@@ -59,8 +59,8 @@ class StreamingHistogram:
     """Latency histogram over :data:`BUCKET_BOUNDS` with O(1) observe.
 
     Quantiles return the *upper bound* of the bucket containing the target
-    rank — a deterministic function of the bucket counts alone, so serial
-    and pooled dispatch of the same request set agree exactly on counts and
+    rank — a deterministic function of the bucket counts alone, so any two
+    dispatch orders of the same request set agree exactly on counts and
     agree on quantiles up to bucket resolution.  The maximum is tracked
     exactly (it doubles as the overflow bucket's quantile value).
     """

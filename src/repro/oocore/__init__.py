@@ -10,10 +10,10 @@ This package runs those multiplies under an explicit memory budget
 * :mod:`repro.oocore.panels` — row-panel decomposition of A, sized from the
   precalculated workload sums so one panel's expansion fits the budget.
 * :mod:`repro.oocore.spill` — the crash-safe, content-addressed disk store
-  for partials evicted from the resident set.
+  for panel slices evicted from the resident set.
 * :mod:`repro.oocore.executor` — :func:`chunked_multiply`, the driver that
-  runs panels through the existing lowering/exec plane and recombines them
-  with a k-way merge tree, bit-identical to the in-memory path.
+  runs panels through the scheme's own multiply and concatenates their
+  slices of C in row order, bit-identical to the in-memory path.
 
 Entry points: :meth:`repro.runtime.Runtime.multiply` routes here whenever
 its config carries a budget, and ``repro run/bench/compare`` expose the
@@ -21,13 +21,12 @@ flags.
 """
 
 from repro.oocore.budget import BYTES_PER_PRODUCT, parse_mem_budget, products_for_budget
-from repro.oocore.executor import DEFAULT_FAN_IN, OocStats, chunked_multiply
+from repro.oocore.executor import OocStats, chunked_multiply
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore, sweep_stale
 
 __all__ = [
     "BYTES_PER_PRODUCT",
-    "DEFAULT_FAN_IN",
     "OocStats",
     "Panel",
     "SpillStore",

@@ -1,22 +1,22 @@
-"""The chunked out-of-core executor: panel multiplies + spilling merge tree.
+"""The chunked out-of-core executor: panel multiplies concatenated in row order.
 
 :func:`chunked_multiply` computes ``C = A·B`` under a memory budget that the
 full intermediate expansion would blow through.  It cuts A into row panels
 sized by the paper's precalculated workload sums (:mod:`repro.oocore.panels`),
-runs each panel through the *existing* lowering/exec plane (the scheme's own
-``multiply``), and combines the per-panel partial products with a k-way merge
-tree over the :func:`~repro.kernels.numpy_backend.kway_merge` primitive.
-Partials that would push the resident set over budget are spilled to disk
-through a crash-safe :class:`~repro.oocore.spill.SpillStore`.
+runs each panel through the scheme's own ``multiply``, and keeps each
+panel's slice of C — per-row counts, column indices and values.  Slices
+that would push the resident set over budget are spilled to disk through a
+crash-safe :class:`~repro.oocore.spill.SpillStore`.  At the end the slices
+are streamed, in panel order, into one preallocated CSR.
 
-Bit-identity: row panels of A produce disjoint row slices of C, and within a
-panel the product stream is the full stream's restriction to those rows in
-the same relative order — so every output entry is the same sequence of
-float64 additions as the in-memory path, and the merge tree (whose streams
-carry globally disjoint, panel-ordered keys) only concatenates coalesced
-groups, never re-associates them.  ``chunked_multiply`` is therefore
-bit-identical to ``algo.multiply`` on every scheme; the oocore CI leg and
-``repro compare --mem-budget`` assert exactly that.
+Bit-identity: row panels of A produce disjoint, row-ordered slices of C
+(Liu & Vinter's partition algebra, PAPERS.md), and within a panel the
+product stream is the full stream's restriction to those rows in the same
+relative order — so every output entry is the same sequence of float64
+additions as the in-memory path, and combining the slices is a plain
+concatenation that never re-associates a sum.  ``chunked_multiply`` is
+therefore bit-identical to ``algo.multiply`` on every scheme; the oocore CI
+leg and ``repro compare --mem-budget`` assert exactly that.
 
 Per-panel work records ``oocore.panel[i]`` observability spans and the
 returned :class:`OocStats` carries the spill and peak-RSS counters that
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import kernels, obs
+from repro import obs
 from repro.oocore.budget import parse_mem_budget, products_for_budget
 from repro.oocore.panels import Panel, plan_panels, slice_rows
 from repro.oocore.spill import SpillStore
@@ -38,10 +38,7 @@ from repro.runtime import lifecycle
 from repro.sparse.csr import CSRMatrix
 from repro.spgemm.base import MultiplyContext, SpGEMMAlgorithm, validate_operands
 
-__all__ = ["DEFAULT_FAN_IN", "OocStats", "chunked_multiply"]
-
-#: Merge-tree fan-in: how many partial streams one k-way merge consumes.
-DEFAULT_FAN_IN = 8
+__all__ = ["OocStats", "chunked_multiply"]
 
 
 def _peak_rss_bytes() -> int:
@@ -51,7 +48,11 @@ def _peak_rss_bytes() -> int:
 
 @dataclass
 class OocStats:
-    """Counters from one chunked multiply (all deterministic except RSS)."""
+    """Counters from one chunked multiply (all deterministic except RSS).
+
+    ``merge_rounds`` is always 0: panels are concatenated, never merged.  It
+    stays for callers written against the earlier merge-tree combiner.
+    """
 
     budget_bytes: int
     max_products: int
@@ -75,7 +76,6 @@ class OocStats:
             "total_products": self.total_products,
             "spill_count": self.spill_count,
             "bytes_spilled": self.bytes_spilled,
-            "merge_rounds": self.merge_rounds,
             "resident_peak_bytes": self.resident_peak_bytes,
             "peak_rss_bytes": self.peak_rss_bytes,
             "panel_rows": [[p.row_start, p.row_stop] for p in self.panels],
@@ -83,28 +83,28 @@ class OocStats:
 
 
 class _Partial:
-    """One coalesced (keys, vals) stream, resident or spilled."""
+    """One panel's slice of C — per-row counts, column indices and values —
+    resident or spilled."""
 
-    __slots__ = ("keys", "vals", "ticket", "nbytes")
+    __slots__ = ("arrays", "ticket", "nnz", "nbytes")
 
-    def __init__(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        self.keys = keys
-        self.vals = vals
+    def __init__(self, c_panel: CSRMatrix) -> None:
+        self.arrays = (np.diff(c_panel.indptr), c_panel.indices, c_panel.data)
         self.ticket: str | None = None
-        self.nbytes = keys.nbytes + vals.nbytes
+        self.nnz = c_panel.nnz
+        self.nbytes = sum(x.nbytes for x in self.arrays)
 
     @property
     def resident(self) -> bool:
-        return self.keys is not None
+        return self.arrays is not None
 
     def spill_to(self, store: SpillStore) -> None:
-        self.ticket = store.spill(self.keys, self.vals)
-        self.keys = None
-        self.vals = None
+        self.ticket = store.spill(*self.arrays)
+        self.arrays = None
 
-    def load(self, store: SpillStore | None) -> tuple[np.ndarray, np.ndarray]:
-        if self.keys is not None:
-            return self.keys, self.vals
+    def load(self, store: SpillStore | None) -> tuple[np.ndarray, ...]:
+        if self.arrays is not None:
+            return self.arrays
         assert store is not None and self.ticket is not None
         return store.read(self.ticket)
 
@@ -116,23 +116,19 @@ def chunked_multiply(
     *,
     mem_budget: int | str,
     spill_dir: str | None = None,
-    fan_in: int = DEFAULT_FAN_IN,
 ) -> tuple[CSRMatrix, OocStats]:
     """Compute ``A·B`` with ``algo`` under ``mem_budget`` bytes; see module doc.
 
     Returns the product (bit-identical to ``algo.multiply`` on the same
     operands) and the run's :class:`OocStats`.  ``spill_dir`` hosts the
-    crash-safe spill store (``$TMPDIR`` by default); ``fan_in`` is the merge
-    tree's arity.  Deliberately does *not* take a plan cache: caching one
-    recipe per panel would retain budget-sized gather arrays per LRU entry,
-    defeating the budget.
+    crash-safe spill store (``$TMPDIR`` by default).  Deliberately does
+    *not* take a plan cache: caching one recipe per panel would retain
+    budget-sized gather arrays per LRU entry, defeating the budget.
     """
     b = a if b is None else b
     validate_operands(a, b)
     budget_bytes = parse_mem_budget(mem_budget)
     max_products = products_for_budget(budget_bytes)
-    if fan_in < 2:
-        raise ValueError(f"fan_in must be >= 2, got {fan_in}")
     n_rows, n_cols = a.n_rows, b.n_cols
     stats = OocStats(budget_bytes=budget_bytes, max_products=max_products)
 
@@ -158,14 +154,7 @@ def chunked_multiply(
                     a_panel = slice_rows(a, panel.row_start, panel.row_stop)
                     ctx = MultiplyContext.build(a_panel, b)
                     c_panel = algo.multiply(ctx)
-                    # Global flat (row, col) keys: the panel's rows shifted to
-                    # their position in C.  Rows are disjoint across panels.
-                    local_rows = np.repeat(
-                        np.arange(panel.n_rows, dtype=np.int64), c_panel.row_nnz()
-                    )
-                    global_rows = local_rows + np.int64(panel.row_start)
-                    keys = global_rows * np.int64(n_cols) + c_panel.indices
-                    part = _Partial(keys, c_panel.data.copy())
+                    part = _Partial(c_panel)
                     partials.append(part)
                     resident_bytes += part.nbytes
                     stats.resident_peak_bytes = max(stats.resident_peak_bytes, resident_bytes)
@@ -187,51 +176,40 @@ def chunked_multiply(
                         resident_bytes -= victim.nbytes
                         sp.add(spilled=1)
 
-            with obs.span("oocore.merge_tree", "oocore") as sp:
-                while len(partials) > 1:
-                    stats.merge_rounds += 1
-                    merged: list[_Partial] = []
-                    for lo in range(0, len(partials), fan_in):
-                        group = partials[lo : lo + fan_in]
-                        streams = [p.load(store) for p in group]
-                        starts = np.zeros(len(streams) + 1, dtype=np.int64)
-                        np.cumsum([len(k) for k, _ in streams], out=starts[1:])
-                        keys, vals = kernels.active().kway_merge(
-                            np.concatenate([k for k, _ in streams]),
-                            np.concatenate([v for _, v in streams]),
-                            starts,
-                        )
-                        part = _Partial(keys, vals)
-                        # Intermediate rounds stay budgeted; the last merge's
-                        # output is the final result and stays resident.
-                        if len(partials) > fan_in and part.nbytes > budget_bytes:
-                            if store is None:
-                                store = SpillStore(spill_dir)
-                            part.spill_to(store)
-                        merged.append(part)
-                    partials = merged
-                sp.add(rounds=stats.merge_rounds)
-
-            keys, vals = partials[0].load(store)
+            with obs.span("oocore.concat", "oocore") as sp:
+                c = _concatenate(panels, partials, store, (n_rows, n_cols))
+                sp.add(nnz=c.nnz)
             if store is not None:
                 stats.spill_count = store.spill_count
                 stats.bytes_spilled = store.bytes_spilled
             stats.peak_rss_bytes = _peak_rss_bytes()
-            root.add(
-                panels=stats.n_panels,
-                spills=stats.spill_count,
-                merge_rounds=stats.merge_rounds,
-            )
+            root.add(panels=stats.n_panels, spills=stats.spill_count)
     finally:
         if store is not None:
             lifecycle.uninstall(store)
 
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    if len(keys):
-        rows = keys // np.int64(n_cols)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        indices = keys % np.int64(n_cols)
-    else:
-        indices = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=np.float64)
-    return CSRMatrix((n_rows, n_cols), indptr, indices, vals), stats
+    return c, stats
+
+
+def _concatenate(
+    panels: list[Panel],
+    partials: list[_Partial],
+    store: SpillStore | None,
+    shape: tuple[int, int],
+) -> CSRMatrix:
+    """Stream the panels' slices of C, in row order, into one CSR."""
+    nnz = sum(p.nnz for p in partials)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=np.int64)
+    data = np.empty(nnz, dtype=np.float64)
+    start = 0
+    for panel, part in zip(panels, partials):
+        row_nnz, cols, vals = part.load(store)
+        rows = indptr[panel.row_start + 1 : panel.row_stop + 1]
+        np.cumsum(row_nnz, out=rows)
+        rows += start
+        stop = start + len(cols)
+        indices[start:stop] = cols
+        data[start:stop] = vals
+        start = stop
+    return CSRMatrix(shape, indptr, indices, data)

@@ -1,15 +1,14 @@
 """Disk spill store for out-of-core partial products.
 
-When the chunked executor's resident partials exceed the memory budget, the
-oldest partial (a coalesced ``(keys, vals)`` pair for one row panel) is
-written to disk and its arrays dropped.  The store owns one private
+When the chunked executor's resident panel slices exceed the memory budget,
+the oldest slice (one row panel's per-row counts, column indices and values)
+is written to disk and its arrays dropped.  The store owns one private
 directory per process — ``<base>/repro-oocore-<pid>-<token>/`` — so
 concurrent runs sharing a ``--spill-dir`` never collide, and files are
 content-addressed by the SHA-256 of their payload so a re-spill of identical
 data is a no-op and read-back can verify integrity.
 
-Crash safety mirrors the exec plane's shared-memory pools: the store
-registers with :mod:`repro.runtime.lifecycle`, whose SIGINT/SIGTERM/atexit
+Crash safety: the store registers with :mod:`repro.runtime.lifecycle`, whose SIGINT/SIGTERM/atexit
 sweep calls :meth:`SpillStore.close` and removes the directory before the
 process dies.  Directories orphaned by an unsweepable death (SIGKILL) are
 reclaimed by :func:`sweep_stale`, which every new store runs against its
@@ -73,10 +72,11 @@ def sweep_stale(base: Path) -> list[str]:
 
 
 class SpillStore:
-    """Content-addressed on-disk store for spilled ``(keys, vals)`` partials.
+    """Content-addressed on-disk store for spilled tuples of arrays.
 
     ``spill`` returns an opaque ticket (the content digest); ``read`` loads
-    the arrays back and re-verifies the digest.  ``close`` removes the whole
+    the arrays back, in order and with their dtypes, and re-verifies the
+    digest.  ``close`` removes the whole
     per-process directory; it is idempotent and also runs from the runtime
     lifecycle sweeper on SIGINT/SIGTERM/interpreter exit.
     """
@@ -102,13 +102,12 @@ class SpillStore:
         """The per-process spill directory (exists until :meth:`close`)."""
         return self._dir
 
-    def spill(self, keys: np.ndarray, vals: np.ndarray) -> str:
+    def spill(self, *arrays: np.ndarray) -> str:
         """Write one partial to disk; return its content-digest ticket."""
         if self._closed:
             raise OutOfCoreError("spill store is closed")
         buf = io.BytesIO()
-        np.savez(buf, keys=np.asarray(keys, dtype=np.int64),
-                 vals=np.asarray(vals, dtype=np.float64))
+        np.savez(buf, *arrays)
         payload = buf.getvalue()
         digest = hashlib.sha256(payload).hexdigest()
         target = self._dir / f"{digest}.npz"
@@ -122,7 +121,7 @@ class SpillStore:
         self.spill_count += 1
         return digest
 
-    def read(self, ticket: str) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, ticket: str) -> tuple[np.ndarray, ...]:
         """Load a spilled partial back; verify its content digest."""
         target = self._dir / f"{ticket}.npz"
         try:
@@ -132,7 +131,7 @@ class SpillStore:
         if hashlib.sha256(payload).hexdigest() != ticket:
             raise OutOfCoreError(f"spilled partial {ticket} failed its content check")
         with np.load(io.BytesIO(payload)) as archive:
-            return archive["keys"], archive["vals"]
+            return tuple(archive[f"arr_{i}"] for i in range(len(archive.files)))
 
     def close(self) -> None:
         """Remove the spill directory (idempotent)."""

@@ -31,9 +31,8 @@ cost (:func:`repro.plan.estimate.multiply_flops`) and checks it against the
 ``--max-inflight-flops`` budget; ``batch_wait`` is the queue time until a
 micro-batch picks the request up (:mod:`repro.serve.batching` coalesces
 same-structure requests); ``session``/``numeric`` are recorded inside the
-runtime (pool lookup + lock wait, then the multiply itself — executed
-through the shared :class:`~repro.exec.ExecEngine` when the runtime has
-one); ``serialize`` re-encodes the result.  Responses are bit-identical to
+runtime (pool lookup + lock wait, then the multiply itself);
+``serialize`` re-encodes the result.  Responses are bit-identical to
 the batch CLI path because both route through the same
 :class:`~repro.runtime.Runtime`.
 
@@ -398,13 +397,12 @@ def stats_field_names() -> set[str]:
     """Every field name the ``/stats`` payload can contain.
 
     Built by walking a fully-populated sample payload (all optional
-    sections present: one observed route/tenant, exec stats attached), so
+    sections present: one observed route/tenant), so
     ``tools/check_docs.py`` can require each name in the OPERATIONS.md
     glossary and a test can assert the sample stays a superset of a live
     server's payload.  Keys under route/tenant/per-op maps are data, not
     schema, and are excluded (their value dicts are still walked).
     """
-    from repro.exec.engine import ExecStats
     from repro.plan.cache import PlanCacheStats
     from repro.runtime.core import RuntimeStats
 
@@ -416,7 +414,6 @@ def stats_field_names() -> set[str]:
         tenants={},
         plan_cache=PlanCacheStats(),
         requests=0,
-        exec=ExecStats().as_dict(),
     )
     serving = metrics.snapshot()
     serving.update(queue_depth=0, inflight_flops=0, coalescence_factor=None)
@@ -524,8 +521,7 @@ def run(runtime: Runtime, config: ServeConfig | None = None) -> None:
     """Blocking server loop with graceful SIGINT/SIGTERM shutdown.
 
     The runtime is registered with :mod:`repro.runtime.lifecycle` (for
-    atexit coverage) and closed — pools drained, shared memory unlinked —
-    before this returns.
+    atexit coverage) and closed before this returns.
     """
     lifecycle.install(runtime)
     asyncio.run(_serve_until_signalled(runtime, config or ServeConfig()))

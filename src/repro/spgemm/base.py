@@ -26,9 +26,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import exec as rexec
 from repro import obs
-from repro.errors import FingerprintError, SparseFormatError
+from repro.errors import FingerprintError, IndexOverflowError, SparseFormatError
 from repro.gpusim.config import TITAN_XP, GPUConfig
 from repro.gpusim.costs import DEFAULT_COSTS, CostModel
 from repro.gpusim.simulator import GPUSimulator
@@ -58,9 +57,17 @@ def validate_operands(a: CSRMatrix | CSCMatrix, b: CSRMatrix | CSCMatrix) -> Non
     Called at the ``multiply()`` boundaries so malformed operands raise
     :class:`~repro.errors.SparseFormatError` (with the offending operand and
     field named) instead of surfacing as a deep NumPy ``IndexError`` from an
-    expansion kernel.  Plan-cache structure hits never reach this check: a
-    hit means the identical structure already validated on its cold path.
+    expansion kernel.  An output shape too large for the merge's int64 flat
+    keys raises :class:`~repro.errors.IndexOverflowError` first, from the
+    shapes alone.  Plan-cache structure hits never reach this check: a hit
+    means the identical structure already validated on its cold path.
     """
+    cells = int(a.shape[0]) * int(b.shape[1])
+    if cells > 2**63:
+        raise IndexOverflowError(
+            f"output shape {a.shape[0]} x {b.shape[1]} has {cells} cells; "
+            "flat int64 (row, col) keys address at most 2**63"
+        )
     for which, matrix in (("A", a), ("B", b)):
         try:
             matrix.validate()
@@ -215,11 +222,7 @@ class SpGEMMAlgorithm(abc.ABC):
         return plan
 
     def multiply(
-        self,
-        ctx: MultiplyContext,
-        *,
-        plan_cache: "PlanCache | None" = None,
-        exec_workers: int | None = None,
+        self, ctx: MultiplyContext, *, plan_cache: "PlanCache | None" = None
     ) -> CSRMatrix:
         """Compute ``A @ B`` exactly, by executing the plan's kernels.
 
@@ -228,15 +231,11 @@ class SpGEMMAlgorithm(abc.ABC):
         all symbolic work, replaying only the numeric phase (bit-identical).
         Operands are structurally validated at this boundary (the plan
         cache's replay fast path skips re-validation of known structures).
-        ``exec_workers`` runs the numeric kernels partitioned across a
-        :mod:`repro.exec` process pool — bit-identical to serial; ``None``
-        defers to any ambient engine the caller installed.
         """
-        with rexec.engine_scope(exec_workers):
-            if plan_cache is not None:
-                return plan_cache.multiply(self, ctx.a_csr, ctx.b_csr, ctx=ctx)
-            validate_operands(ctx.a_csr, ctx.b_csr)
-            return self.lower_traced(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
+        if plan_cache is not None:
+            return plan_cache.multiply(self, ctx.a_csr, ctx.b_csr, ctx=ctx)
+        validate_operands(ctx.a_csr, ctx.b_csr)
+        return self.lower_traced(ctx, DEFAULT_LOWERING_CONFIG).execute(ctx)
 
     def build_trace(self, ctx: MultiplyContext, config: GPUConfig) -> KernelTrace:
         """Describe the thread blocks this scheme launches on ``config``."""

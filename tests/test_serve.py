@@ -621,14 +621,15 @@ class TestServingObservability:
         assert payload["otherData"]["status"] == 200
 
     def test_histograms_deterministic_across_dispatch_modes(self, rng):
-        """Serial vs exec-pool dispatch: same requests, same counts, and the
-        served results stay bit-identical to the serial batch path."""
+        """Two fresh servers — the default config and one still carrying the
+        ignored ``exec_workers`` knob — see the same requests, count them
+        identically, and serve results bit-identical to the batch path."""
         a = random_csr(rng, 30, 30, 0.15)
         b = random_csr(rng, 30, 30, 0.15)
         expected = RowProductSpGEMM().multiply(MultiplyContext.build(a, b))
         body = {"algorithm": "row-product", "a": csr_to_wire(a), "b": csr_to_wire(b)}
         counts = {}
-        for label, workers in (("serial", 1), ("pooled", 2)):
+        for label, workers in (("default", 1), ("ignored-knob", 2)):
             runtime = Runtime(RuntimeConfig(exec_workers=workers))
             thread = ServerThread(runtime, ServeConfig(port=0))
             host, port = thread.start()
@@ -644,12 +645,10 @@ class TestServingObservability:
                     route["requests"], route["errors"], route["sheds"],
                     route["latency_ms"]["count"],
                 )
-                if workers > 1:
-                    # The shared exec engine's counters surface in /stats.
-                    assert stats["runtime"]["exec"] is not None
+                assert "exec" not in stats["runtime"]
             finally:
                 thread.stop()
-        assert counts["serial"] == counts["pooled"] == (4, 0, 0, 4)
+        assert counts["default"] == counts["ignored-knob"] == (4, 0, 0, 4)
 
 
 class TestServeShutdown:

@@ -17,14 +17,11 @@ histogram, and the two views must agree within histogram-bucket tolerance
 (the server buckets are sqrt(2)-spaced, so quantiles round up by at most
 ~41%; clients additionally see connection overhead).  Every multiply
 response is asserted *bit-identical* to the same product computed locally
-through :class:`repro.runtime.Runtime` (the batch-CLI path) — the server
-runs with the multicore exec pool enabled, so this also pins exec-pool
-dispatch to the serial reference.  Mixed multiply/pagerank traffic is
-checked the same way.  A final ``/metrics`` scrape is validated against
+through :class:`repro.runtime.Runtime` (the batch-CLI path).  Mixed
+multiply/pagerank traffic is checked the same way.  A final ``/metrics`` scrape is validated against
 the Prometheus exposition schema (``--metrics-out`` saves it), and
 ``--trace-dir`` makes the server export every request as a Chrome trace.
-On shutdown (SIGTERM) the bench asserts a zero exit code, no leaked
-``/dev/shm/repro-exec-*`` segments and no surviving worker processes.
+On shutdown (SIGTERM) the bench asserts a zero exit code.
 
 Writes the measurements as JSON — ``BENCH_pr8.json`` at the repo root
 records the PR's numbers.
@@ -106,7 +103,6 @@ def start_server(args) -> tuple[subprocess.Popen, str]:
         "--port", "0",
         "--max-inflight", str(args.max_inflight),
         "--batch-window", str(args.batch_window),
-        "--exec-workers", str(args.exec_workers),
     ]
     if args.trace_dir:
         cmd += ["--trace-dir", args.trace_dir, "--trace-slow-ms", "0"]
@@ -120,20 +116,6 @@ def start_server(args) -> tuple[subprocess.Popen, str]:
     if not banner.startswith("serving on "):
         raise RuntimeError(f"server failed to start: {banner!r}\n{proc.stderr.read()}")
     return proc, banner.split()[-1]
-
-
-def worker_pids(server_pid: int) -> set[int]:
-    """Direct children of the server (exec-pool workers), via /proc."""
-    pids = set()
-    for stat in glob.glob("/proc/[0-9]*/stat"):
-        try:
-            with open(stat) as fh:
-                fields = fh.read().rsplit(")", 1)[1].split()
-            if int(fields[1]) == server_pid:  # ppid is field 4 overall
-                pids.add(int(stat.split("/")[2]))
-        except (OSError, IndexError, ValueError):
-            continue
-    return pids
 
 
 def run_phase(
@@ -271,8 +253,6 @@ def main() -> int:
                         help="save the final /metrics scrape (Prometheus text)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="server exports per-request Chrome traces here")
-    parser.add_argument("--exec-workers", type=int, default=2,
-                        help="server exec-pool width (local reference stays serial)")
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--requests-per-client", type=int, default=6)
     parser.add_argument("--size", type=int, default=300, metavar="N",
@@ -305,7 +285,6 @@ def main() -> int:
     proc, base = start_server(args)
     client = ServeClient(base)
     try:
-        workers = worker_pids(proc.pid)
         print(f"server up at {base} (pid {proc.pid})", flush=True)
         shared_phase, shared_lat = run_phase(
             client, args.algorithm, [shared_pair], shared_expected,
@@ -341,23 +320,13 @@ def main() -> int:
                 fh.write(metrics_text)
             print(f"wrote {args.metrics_out}", flush=True)
         final_stats = client.get("/stats")
-        workers |= worker_pids(proc.pid)
     finally:
         proc.send_signal(signal.SIGTERM)
         exit_code = proc.wait(timeout=30)
-    leaked_shm = glob.glob("/dev/shm/repro-exec-*")
-    stray = {pid for pid in workers if os.path.exists(f"/proc/{pid}")}
-    shutdown = {
-        "exit_code": exit_code,
-        "leaked_shm": len(leaked_shm),
-        "stray_workers": len(stray),
-    }
-    print(f"shutdown: exit={exit_code}, leaked shm={len(leaked_shm)}, "
-          f"stray workers={len(stray)}", flush=True)
+    shutdown = {"exit_code": exit_code}
+    print(f"shutdown: exit={exit_code}", flush=True)
 
     assert exit_code == 0, f"server exited {exit_code}"
-    assert not leaked_shm, f"leaked shared memory: {leaked_shm}"
-    assert not stray, f"stray worker processes: {stray}"
     amortised = shared_phase["requests_per_lowering"]
     assert amortised is not None and amortised > 1, (
         f"no amortisation under shared-structure load: {amortised}"
@@ -374,7 +343,7 @@ def main() -> int:
         "description": (
             "repro serve under concurrent load: shared vs distinct operand "
             "structures, responses asserted bit-identical to the batch "
-            "Runtime path (exec pool enabled server-side), amortisation "
+            "Runtime path, amortisation "
             "factor = requests per symbolic lowering, server-histogram "
             "latency asserted against client wall clocks, /metrics scrape "
             "schema-validated"
@@ -387,7 +356,6 @@ def main() -> int:
         "server": {
             "max_inflight": args.max_inflight,
             "batch_window": args.batch_window,
-            "exec_workers": args.exec_workers,
         },
         "shared_structure": shared_phase,
         "distinct_structures": distinct_phase,
@@ -400,7 +368,6 @@ def main() -> int:
             for key in ("queue_depth", "inflight_flops", "coalescence_factor",
                         "estimate_fallbacks", "traces_written")
         },
-        "exec": final_stats["runtime"]["exec"],
         "metrics_families": metrics_families,
         "traces_exported": traces_exported,
         "amortisation_factor": amortised,
